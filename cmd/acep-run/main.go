@@ -619,7 +619,7 @@ func main() {
 	// workers that ran concurrently, so normalize by the aggregate worker
 	// time rather than wall clock (keeps the figure a true fraction).
 	budget := time.Duration(workers) * elapsed
-	fmt.Printf("adaptation overhead: %.2f%%  peak partial matches: %d\n",
+	fmt.Printf("adaptation overhead (statistics, D, A): %.2f%%  peak partial matches: %d\n",
 		100*met.Overhead(budget), met.PeakPMs)
 	if met.QueueWait.Count() > 0 {
 		fmt.Printf("latency: queue-wait p50 %v p99 %v; detect p50 %v p99 %v\n",

@@ -55,7 +55,7 @@ func main() {
 		eng.Finish()
 		elapsed := time.Since(start)
 		m := eng.Metrics()
-		fmt.Printf("%-38s %9.0f ev/s  matches=%d  replans=%d  overhead=%.2f%%\n",
+		fmt.Printf("%-38s %9.0f ev/s  matches=%d  replans=%d  overhead(stats+D+A)=%.2f%%\n",
 			p.name,
 			float64(len(w.Events))/elapsed.Seconds(),
 			matches, m.Reoptimizations, 100*m.Overhead(elapsed))

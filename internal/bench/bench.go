@@ -113,7 +113,7 @@ type Result struct {
 	Throughput float64 // events/second (wall clock)
 	Matches    uint64
 	Reopts     uint64
-	Overhead   float64 // fraction of wall time in D and A
+	Overhead   float64 // fraction of wall time refreshing statistics and in D and A
 	PMCreated  uint64
 	Elapsed    time.Duration
 }

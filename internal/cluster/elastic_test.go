@@ -9,6 +9,7 @@ import (
 	"acep/internal/chaos"
 	"acep/internal/engine"
 	"acep/internal/gen"
+	"acep/internal/wire"
 )
 
 // runElastic streams the workload through the rig's cluster with the
@@ -263,11 +264,14 @@ func TestRebalanceDuringFailover(t *testing.T) {
 func TestStandbyRestartRejoins(t *testing.T) {
 	w := failoverWorkload(t, "traffic")
 	want := runSharded(t, w, gen.Sequence, 6)
+	var guards []*finishGuard
 	rig, _ := startFailoverRig(t, w, gen.Sequence, 0, func(i int, c Conn) Conn {
 		if i == 1 {
 			return &chaos.Flaky{C: c, Budget: 30}
 		}
-		return c
+		g := &finishGuard{Conn: c}
+		guards = append(guards, g)
+		return g
 	}, nil)
 
 	// One standby address. Each accepted session runs a fresh bare node —
@@ -312,6 +316,29 @@ func TestStandbyRestartRejoins(t *testing.T) {
 	if n := sessions.Load(); n != 2 {
 		t.Fatalf("standby address served %d sessions, want 2 (consumed, then rejoined after restart)", n)
 	}
+	for _, g := range guards {
+		if n := g.late.Load(); n > 0 {
+			t.Fatalf("%d frames sent to a healthy node after its Finish", n)
+		}
+	}
+}
+
+// finishGuard counts the frames sent after Finish. A node reads nothing
+// after Finish, so such a frame can only reset its connection.
+type finishGuard struct {
+	Conn
+	finished atomic.Bool
+	late     atomic.Int32
+}
+
+func (g *finishGuard) Send(f wire.Frame) error {
+	if g.finished.Load() {
+		g.late.Add(1)
+	}
+	if _, ok := f.(wire.Finish); ok {
+		g.finished.Store(true)
+	}
+	return g.Conn.Send(f)
 }
 
 // TestAddNodeDrain: runtime scale-out and graceful scale-in on one

@@ -1045,9 +1045,12 @@ func (in *Ingress) migrateShard(g, to int, reason string, fidx int) error {
 // routeBroadcast ships the current shard->slot owner table to every
 // live node (abandoned shards carry ^uint32(0)). Advisory for the
 // nodes — ownership semantics ride the Migrate frames — but it keeps
-// every member's picture of the routing current. Ingress goroutine,
-// behind the barrier; a send failure is parked in sendErr and handled
-// at the next waitSends.
+// every member's picture of the routing current. A node already sent
+// Finish is skipped: it reads nothing more and closes once its tail is
+// out, and a frame landing on the closed socket resets the connection,
+// which can discard that tail before the ingress reads it. Ingress
+// goroutine, behind the barrier; a send failure is parked in sendErr
+// and handled at the next waitSends.
 func (in *Ingress) routeBroadcast() {
 	route := wire.ShardRoute{Owner: make([]uint32, len(in.owner))}
 	for g, o := range in.owner {
@@ -1058,7 +1061,7 @@ func (in *Ingress) routeBroadcast() {
 		}
 	}
 	for n, c := range in.conns {
-		if in.dead[n] || in.drained[n] {
+		if in.dead[n] || in.drained[n] || in.finSent[n] {
 			continue
 		}
 		if err := c.Send(route); err != nil {

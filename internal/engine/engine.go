@@ -156,13 +156,14 @@ func (m Metrics) RecallEstimate(size int) float64 {
 	return r
 }
 
-// Overhead returns the fraction of total elapsed time spent in D and A —
-// the paper's "computational overhead" metric.
+// Overhead returns the fraction of total elapsed time spent adapting:
+// refreshing statistics, D and A — the paper's "computational overhead"
+// metric.
 func (m Metrics) Overhead(total time.Duration) float64 {
 	if total <= 0 {
 		return 0
 	}
-	return float64(m.DecisionTime+m.PlanTime) / float64(total)
+	return float64(m.StatTime+m.DecisionTime+m.PlanTime) / float64(total)
 }
 
 // Merge folds another engine's metrics into m: counters add, peaks take

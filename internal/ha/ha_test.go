@@ -188,6 +188,10 @@ func TestTakeoverByteIdentical(t *testing.T) {
 			rig := startHARig(t, w, kind, 0)
 			got, p := runPair(t, rig, w, kind, nil, map[int]func(*Pair){
 				2500: func(p *Pair) {
+					// The boundary asserted below exists only once the
+					// standby has mirrored an emission state; how far the
+					// asynchronous pipeline got by event 2500 is timing.
+					waitMirroredEmission(t, p)
 					if err := p.KillPrimary(); err != nil {
 						t.Fatalf("takeover failed: %v", err)
 					}
@@ -214,6 +218,25 @@ func TestTakeoverByteIdentical(t *testing.T) {
 				t.Fatalf("%s/%v: healthy takeover reported degradation: %s", dataset, kind, cause)
 			}
 		}
+	}
+}
+
+// waitMirroredEmission blocks until the in-process standby holds a
+// nonzero emission boundary from the primary.
+func waitMirroredEmission(t *testing.T, p *Pair) {
+	t.Helper()
+	deadline := time.Now().Add(20 * time.Second)
+	for {
+		p.srv.mu.Lock()
+		emitted := p.srv.emitted
+		p.srv.mu.Unlock()
+		if emitted > 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("standby mirrored no emission state within 20s")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -2,13 +2,11 @@ package match
 
 import "acep/internal/event"
 
-// arenaChunkEvents is the number of events per arena chunk; attribute
-// storage is provisioned at arenaAttrsPerEvent values per slot and a
-// chunk seals early if a fat event would overflow it.
-const (
-	arenaChunkEvents   = 256
-	arenaAttrsPerEvent = 8
-)
+// arenaChunkEvents is the number of events per arena chunk. Attribute
+// storage is provisioned per slot at the width of the widest event the
+// arena has seen, and a chunk seals early if a wider event would
+// overflow it.
+const arenaChunkEvents = 256
 
 // chunk is one arena block: a fixed-capacity event array plus a flat
 // attribute buffer its events' Attrs slices point into. The backing
@@ -34,6 +32,7 @@ type Arena struct {
 	chunks  []*chunk
 	free    []*chunk
 	recycle bool
+	width   int // attributes of the widest event stored so far
 }
 
 // SetRecycle toggles chunk recycling. Recycling overwrites released
@@ -119,13 +118,11 @@ func (a *Arena) Tail() []float64 {
 	return nil
 }
 
-// grow appends a fresh (or recycled) chunk with room for at least one
-// event carrying attrs attribute values.
+// grow appends a fresh (or recycled) chunk with room for a full chunk of
+// events as wide as the widest seen, this one of attrs values included.
 func (a *Arena) grow(attrs int) *chunk {
-	attrCap := arenaChunkEvents * arenaAttrsPerEvent
-	if attrs > attrCap {
-		attrCap = attrs
-	}
+	a.width = max(a.width, attrs)
+	attrCap := arenaChunkEvents * a.width
 	var c *chunk
 	if n := len(a.free); n > 0 && cap(a.free[n-1].attrs) >= attrCap {
 		c = a.free[n-1]

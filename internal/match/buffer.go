@@ -45,6 +45,13 @@ func (b *Buffer) Prune(horizon event.Time) {
 	}
 }
 
+// Reset empties the buffer, keeping its storage for reuse.
+func (b *Buffer) Reset() {
+	clear(b.evs)
+	b.evs = b.evs[:0]
+	b.start = 0
+}
+
 // Scan visits live events with lo <= TS <= hi in timestamp order; when
 // loExcl/hiExcl are set the corresponding bound is strict. The visit
 // function returns false to stop early. Scan returns false if stopped.

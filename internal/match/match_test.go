@@ -101,6 +101,34 @@ func TestBufferCopyInto(t *testing.T) {
 	}
 }
 
+// TestArenaChunksSizedToEventWidth: a chunk's attribute storage is sized
+// for a full chunk of the widest event seen, and a wider event seals the
+// chunk and widens the next without disturbing what is interned.
+func TestArenaChunksSizedToEventWidth(t *testing.T) {
+	var a Arena
+	narrow := event.Event{Attrs: []float64{1, 2, 3}}
+	var first *event.Event
+	for i := 0; i < arenaChunkEvents; i++ {
+		narrow.TS = event.Time(i)
+		if e := a.Intern(&narrow); i == 0 {
+			first = e
+		}
+	}
+	if a.Live() != 1 || cap(a.chunks[0].attrs) != 3*arenaChunkEvents {
+		t.Fatalf("%d chunks, attr capacity %d; want 1 chunk of %d", a.Live(), cap(a.chunks[0].attrs), 3*arenaChunkEvents)
+	}
+	wide := event.Event{TS: arenaChunkEvents, Attrs: []float64{4, 5, 6, 7, 8}}
+	if e := a.Intern(&wide); len(e.Attrs) != 5 || e.Attrs[4] != 8 {
+		t.Fatalf("wide event interned as %v", e.Attrs)
+	}
+	if a.Live() != 2 || cap(a.chunks[1].attrs) != 5*arenaChunkEvents {
+		t.Fatalf("%d chunks, attr capacity %d; want a second chunk of %d", a.Live(), cap(a.chunks[1].attrs), 5*arenaChunkEvents)
+	}
+	if first.TS != 0 || len(first.Attrs) != 3 || first.Attrs[2] != 3 {
+		t.Fatalf("first event changed: %+v", *first)
+	}
+}
+
 func seqPat(s *event.Schema) *pattern.Pattern {
 	b := pattern.NewBuilder(s, pattern.Seq, 100)
 	a := b.EventName("A")

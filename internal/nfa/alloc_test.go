@@ -122,3 +122,48 @@ func TestProcessBoundedAllocsKleene(t *testing.T) {
 		t.Fatalf("steady-state kleene Process allocated %.4f/event; want <= 0.05", perEvent)
 	}
 }
+
+// TestProcessZeroAllocsKeyedChurn: the keyed path stays allocation-free
+// while key values come and go. Each key lives for 50 events and never
+// returns, so partitions are created, emptied at prune and recycled for
+// new keys all the time; x decreases, so nothing matches.
+func TestProcessZeroAllocsKeyedChurn(t *testing.T) {
+	s := event.NewSchema()
+	for _, name := range []string{"A", "B", "C"} {
+		s.MustAddType(name, "key", "x")
+	}
+	b := pattern.NewBuilder(s, pattern.Seq, 60)
+	for i := 0; i < 3; i++ {
+		b.Event(i)
+	}
+	for i := 0; i+1 < 3; i++ {
+		b.WhereEq(i, "key", i+1, "key")
+		b.Where(i, "x", pattern.LT, i+1, "x", 0)
+	}
+	pat := b.MustBuild()
+	g := New(pat, plan.NewOrderPlan([]int{1, 0, 2}), func(*match.Match) {
+		t.Fatal("no-match stream produced a match")
+	})
+	if g.keys[1] == nil || g.keys[2] == nil {
+		t.Fatal("keyed pattern built no key index")
+	}
+	g.SetOwnedEmit(true)
+	ev := event.Event{Attrs: make([]float64, 2)}
+	var seq uint64
+	run := func(events int) {
+		for i := 0; i < events; i++ {
+			seq++
+			ev.Type = int(seq) % 3
+			ev.TS = event.Time(seq)
+			ev.Seq = seq
+			ev.Attrs[0] = float64(seq / 50)
+			ev.Attrs[1] = -float64(seq)
+			g.Process(&ev)
+		}
+	}
+	run(20000)
+	allocs := testing.AllocsPerRun(10, func() { run(2000) })
+	if allocs != 0 {
+		t.Fatalf("steady-state keyed Process allocated %.2f times per 2000-event run; want 0", allocs)
+	}
+}

@@ -12,6 +12,15 @@
 // combination is enumerated exactly once. Core-complete matches are
 // handed to the residual resolver for negation/Kleene processing.
 //
+// A state whose next position is joined to an already-filled one by an
+// exact equality (directly, or through other core positions) is
+// hash-partitioned on the value the equality class holds: the next
+// position's buffer and the PMs waiting at the state are kept per value,
+// so an arriving event meets only the PMs of its own value and a new PM
+// scans only the events of its own. The compiled checks still run on
+// every candidate; the partitions only skip candidates those checks, or
+// the checks of a later state, would reject.
+//
 // The steady-state per-event path is allocation-free: arriving events are
 // copied into a chunked arena (released whole chunks at a time as the
 // watermark passes them), PMs and their assignment arrays come from a
@@ -23,6 +32,7 @@ package nfa
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"acep/internal/event"
@@ -69,6 +79,51 @@ type stateCheck struct {
 	pc  *pattern.PairCheck
 }
 
+// keyIndex hash-partitions one state on an equality class: the buffer of
+// the state's position and the PMs waiting at the state, both by the
+// value the class holds.
+type keyIndex struct {
+	attr   int // class attribute of the state's position
+	pmPos  int // filled position whose attribute keys a waiting PM
+	pmAttr int
+	parts  map[uint64]*partition
+	free   []*partition // emptied partitions, recycled by part
+}
+
+// partition is one key value's share of a keyed state.
+type partition struct {
+	buf match.Buffer
+	pms []*pm
+}
+
+// part returns the partition of key value v, creating it if needed.
+func (ki *keyIndex) part(v float64) *partition {
+	k := keyBits(v)
+	if pt := ki.parts[k]; pt != nil {
+		return pt
+	}
+	var pt *partition
+	if n := len(ki.free); n > 0 {
+		pt = ki.free[n-1]
+		ki.free[n-1] = nil
+		ki.free = ki.free[:n-1]
+	} else {
+		pt = &partition{}
+	}
+	ki.parts[k] = pt
+	return pt
+}
+
+// keyBits maps equal values to equal keys: it folds -0 into +0, the one
+// pair of distinct bit patterns that compare equal. NaN keys are
+// harmless: NaN satisfies no equality, so its events never match.
+func keyBits(v float64) uint64 {
+	if v == 0 {
+		return 0
+	}
+	return math.Float64bits(v)
+}
+
 // Engine is a lazy-NFA evaluation engine for one (non-OR) pattern and one
 // order plan.
 type Engine struct {
@@ -76,9 +131,10 @@ type Engine struct {
 	op  *plan.OrderPlan
 	res *match.Resolver
 
-	bufs     []*match.Buffer // per pattern position; non-nil at core ones
+	bufs     []*match.Buffer // per pattern position; non-nil at unkeyed core ones
 	orderIdx []int           // pattern position -> index in order (-1 if residual)
-	states   [][]*pm         // states[s]: PMs with s filled positions (1..n-1)
+	states   [][]*pm         // states[s]: PMs with s filled positions (1..n-1), unkeyed s
+	keys     []*keyIndex     // per state: the partitions of a keyed state, else nil
 	checks   [][]stateCheck  // per state: checks against the filled prefix
 	n        int             // number of core positions
 
@@ -115,11 +171,17 @@ func New(pat *pattern.Pattern, op *plan.OrderPlan, emit func(*match.Match)) *Eng
 	for i := range g.orderIdx {
 		g.orderIdx[i] = -1
 	}
+	g.states = make([][]*pm, g.n)
+	g.keys = make([]*keyIndex, g.n)
 	for k, p := range op.Order {
 		g.orderIdx[p] = k
-		g.bufs[p] = &match.Buffer{}
+		if k > 0 {
+			g.keys[k] = keyFor(pat, op.Order[:k], p)
+		}
+		if g.keys[k] == nil {
+			g.bufs[p] = &match.Buffer{}
+		}
 	}
-	g.states = make([][]*pm, g.n)
 	// Compile the per-state transition tables: a PM at state s has filled
 	// exactly order[0..s-1], so the extension checks are a fixed list (in
 	// declaration-position order, matching the historical predicate
@@ -136,6 +198,22 @@ func New(pat *pattern.Pattern, op *plan.OrderPlan, emit func(*match.Match)) *Eng
 		g.checks[s] = cs
 	}
 	return g
+}
+
+// keyFor returns the key index of the state that fills position next
+// after the positions in filled, or nil when no exact equality class
+// joins next to a filled position.
+func keyFor(pat *pattern.Pattern, filled []int, next int) *keyIndex {
+	for _, ea := range pat.EqAttrs(next) {
+		for _, q := range filled {
+			for _, eb := range pat.EqAttrs(q) {
+				if eb.Class == ea.Class {
+					return &keyIndex{attr: ea.Attr, pmPos: q, pmAttr: eb.Attr, parts: map[uint64]*partition{}}
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // Resolver exposes the residual resolver (for migration seeding).
@@ -251,27 +329,43 @@ func (g *Engine) prune() {
 			b.Prune(horizon)
 		}
 	}
-	for s, list := range g.states {
-		kept := list[:0]
-		for _, m := range list {
-			if g.expired(m) {
-				g.putPM(m)
-				continue
-			}
-			kept = append(kept, m)
-		}
-		for i := len(kept); i < len(list); i++ {
-			list[i] = nil
-		}
-		g.states[s] = kept
-	}
 	g.live = 0
-	for _, list := range g.states {
-		g.live += len(list)
+	for s, list := range g.states {
+		g.states[s] = g.pruneList(list)
+		g.live += len(g.states[s])
+	}
+	for _, ki := range g.keys {
+		if ki == nil {
+			continue
+		}
+		for k, pt := range ki.parts {
+			pt.buf.Prune(horizon)
+			pt.pms = g.pruneList(pt.pms)
+			g.live += len(pt.pms)
+			if pt.buf.Len() == 0 && len(pt.pms) == 0 {
+				delete(ki.parts, k)
+				pt.buf.Reset()
+				ki.free = append(ki.free, pt)
+			}
+		}
 	}
 	// Every holder — buffers, PMs, the resolver (pruned in Advance) — is
 	// now at or inside the horizon, so whole chunks behind it can go.
 	g.arena.Release(horizon)
+}
+
+// pruneList recycles the expired PMs of list and returns the rest.
+func (g *Engine) pruneList(list []*pm) []*pm {
+	kept := list[:0]
+	for _, m := range list {
+		if g.expired(m) {
+			g.putPM(m)
+			continue
+		}
+		kept = append(kept, m)
+	}
+	clear(list[len(kept):])
+	return kept
 }
 
 // expired reports whether the PM can no longer be extended: every future
@@ -350,10 +444,16 @@ func (g *Engine) process(e *event.Event, mask uint32) {
 		if ae == nil {
 			ae = g.intern(e)
 		}
+		if ki := g.keys[k]; ki != nil {
+			pt := ki.part(ae.Attrs[ki.attr])
+			g.extendState(k, p, ae, &pt.pms)
+			pt.buf.Add(ae)
+			continue
+		}
 		if k == 0 {
 			g.create(p, ae)
 		} else {
-			g.extendState(k, p, ae)
+			g.extendState(k, p, ae, &g.states[k])
 		}
 		g.bufs[p].Add(ae)
 	}
@@ -386,10 +486,10 @@ func (g *Engine) wantsResidual(p int, e *event.Event, mask uint32) bool {
 	return g.res.Wants(p, e)
 }
 
-// extendState offers event e (at position p = order[k]) to every PM
-// waiting at state k, removing expired PMs on the way.
-func (g *Engine) extendState(k, p int, e *event.Event) {
-	list := g.states[k]
+// extendState offers event e (at position p = order[k]) to every PM of
+// the state-k list pms, removing expired PMs on the way.
+func (g *Engine) extendState(k, p int, e *event.Event, pms *[]*pm) {
+	list := *pms
 	for i := 0; i < len(list); {
 		m := list[i]
 		if g.expired(m) {
@@ -405,7 +505,7 @@ func (g *Engine) extendState(k, p int, e *event.Event) {
 		}
 		i++
 	}
-	g.states[k] = list
+	*pms = list
 }
 
 // canExtend checks whether event e can fill state k's position of PM m:
@@ -464,15 +564,38 @@ func (g *Engine) register(m *pm) {
 		return
 	}
 	s := m.filled
-	g.states[s] = append(g.states[s], m)
+	next := g.op.Order[s]
+	buf := g.bufs[next]
+	if ki := g.keys[s]; ki != nil {
+		pt := ki.part(m.evs[ki.pmPos].Attrs[ki.pmAttr])
+		pt.pms = append(pt.pms, m)
+		buf = &pt.buf
+	} else {
+		g.states[s] = append(g.states[s], m)
+	}
 	g.live++
 	if g.live > g.peak {
 		g.peak = g.live
 	}
-	next := g.op.Order[s]
 	// Lazy path: events of the next position that arrived before this PM
-	// was created. Future events arrive through extendState.
-	g.bufs[next].Scan(m.maxTS-g.pat.Window, m.minTS+g.pat.Window, false, false, func(c *event.Event) bool {
+	// was created. Future events arrive through extendState. The range is
+	// the window span, narrowed by the SEQ order against filled positions.
+	lo, hi := m.maxTS-g.pat.Window, m.minTS+g.pat.Window
+	var loExcl, hiExcl bool
+	for i := range g.checks[s] {
+		c := &g.checks[s][i]
+		switch ts := m.evs[c.pos].TS; c.pc.Rel {
+		case pattern.RelAfter:
+			if ts >= lo {
+				lo, loExcl = ts, true
+			}
+		case pattern.RelBefore:
+			if ts <= hi {
+				hi, hiExcl = ts, true
+			}
+		}
+	}
+	buf.Scan(lo, hi, loExcl, hiExcl, func(c *event.Event) bool {
 		if g.canExtend(s, m, c) {
 			g.fork(m, next, c)
 		}
@@ -514,7 +637,7 @@ func (g *Engine) LivePMs() int { return g.live }
 // so the pattern-aware shedding policy protects it.
 func (g *Engine) HotTypes(mark []bool) {
 	for s := 1; s < g.n; s++ {
-		if len(g.states[s]) == 0 {
+		if !g.waiting(s) {
 			continue
 		}
 		if t := g.pat.Positions[g.op.Order[s]].Type; t < len(mark) {
@@ -528,7 +651,7 @@ func (g *Engine) HotTypes(mark []bool) {
 // event of a PM carries the same key value, so one representative
 // identifies the PM's entity.
 func (g *Engine) HotKeys(key func(*event.Event) uint64, add func(uint64)) {
-	for _, list := range g.states {
+	visit := func(list []*pm) {
 		for _, m := range list {
 			for _, e := range m.evs {
 				if e != nil {
@@ -538,6 +661,29 @@ func (g *Engine) HotKeys(key func(*event.Event) uint64, add func(uint64)) {
 			}
 		}
 	}
+	for s := range g.states {
+		visit(g.states[s])
+		if ki := g.keys[s]; ki != nil {
+			for _, pt := range ki.parts {
+				visit(pt.pms)
+			}
+		}
+	}
+}
+
+// waiting reports whether any PM waits at state s.
+func (g *Engine) waiting(s int) bool {
+	if len(g.states[s]) > 0 {
+		return true
+	}
+	if ki := g.keys[s]; ki != nil {
+		for _, pt := range ki.parts {
+			if len(pt.pms) > 0 {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // Stats returns a snapshot of the engine's counters.

@@ -19,7 +19,10 @@ import (
 //   - Pair: per ordered (new, old) position pair, the temporal relation
 //     the pattern operator imposes plus the connecting predicates with
 //     operand orientation baked in (CPair), so extension checks never
-//     branch on which side of a predicate the arriving event is.
+//     branch on which side of a predicate the arriving event is;
+//   - EqAttrs: per core position, the attributes exact equalities join
+//     to other core positions, grouped into equality classes, so the
+//     NFA can hash-partition its buffers and waiting matches on them.
 
 // CUnary is a compiled unary predicate: Attr Op C over one event.
 type CUnary struct {
@@ -170,6 +173,23 @@ func (p *Pattern) Pair(newPos, oldPos int) *PairCheck {
 	return &p.pairC[newPos*len(p.Positions)+oldPos]
 }
 
+// EqAttr is one attribute of a core position that an exact equality
+// (Op EQ, C == 0) between two core positions joins, with the equality
+// class it belongs to. Equality is transitive over core positions, so
+// every (position, attribute) pair of one class holds the same value in
+// every match; NaN satisfies no equality and is in no match. Negated and
+// Kleene positions take no part: two events equal to the same residual
+// event constrain each other only when that event exists.
+type EqAttr struct {
+	Attr, Class int
+}
+
+// EqAttrs returns position i's equality attributes, ordered by
+// attribute; empty for residual positions and for positions no exact
+// core equality touches. The slice is shared; callers must not modify
+// it.
+func (p *Pattern) EqAttrs(i int) []EqAttr { return p.eqAttrs[i] }
+
 // mirror returns the swapped-side form of a comparison: l Op r + C is
 // equivalent to r Op' l + C' with the operands exchanged.
 func mirror(op CmpOp, c float64) (CmpOp, float64) {
@@ -237,6 +257,49 @@ func (p *Pattern) compile() {
 				}
 				pc.Preds = append(pc.Preds, cp)
 			}
+		}
+	}
+	p.compileEqClasses()
+}
+
+// compileEqClasses unions the (position, attribute) pairs that exact
+// equalities between two core positions join, and records each pair's
+// class in eqAttrs. A pair is node pos*width+attr of a flat union-find
+// forest; -1 marks a pair no such equality touches.
+func (p *Pattern) compileEqClasses() {
+	core := func(i int) bool { return !p.Positions[i].Neg && !p.Positions[i].Kleene }
+	joins := func(pr *Pred) bool {
+		return !pr.IsUnary() && pr.Op == EQ && pr.C == 0 && core(pr.L) && core(pr.R)
+	}
+	width := 0
+	for k := range p.Preds {
+		if pr := &p.Preds[k]; joins(pr) {
+			width = max(width, pr.AttrL+1, pr.AttrR+1)
+		}
+	}
+	parent := make([]int, len(p.Positions)*width)
+	for i := range parent {
+		parent[i] = -1
+	}
+	find := func(x int) int {
+		if parent[x] < 0 {
+			parent[x] = x
+		}
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	for k := range p.Preds {
+		if pr := &p.Preds[k]; joins(pr) {
+			parent[find(pr.L*width+pr.AttrL)] = find(pr.R*width + pr.AttrR)
+		}
+	}
+	p.eqAttrs = make([][]EqAttr, len(p.Positions))
+	for x := range parent {
+		if parent[x] >= 0 {
+			p.eqAttrs[x/width] = append(p.eqAttrs[x/width], EqAttr{Attr: x % width, Class: find(x)})
 		}
 	}
 }

@@ -132,26 +132,31 @@ func (p Pred) IsUnary() bool { return p.R == Unary }
 // Eval evaluates the predicate. For unary predicates er is ignored and may
 // be nil.
 func (p Pred) Eval(el, er *event.Event) bool {
-	lv := el.Attrs[p.AttrL]
 	var rv float64
 	if !p.IsUnary() {
 		rv = er.Attrs[p.AttrR]
 	}
-	switch p.Op {
+	return p.Op.Holds(el.Attrs[p.AttrL], rv, p.C)
+}
+
+// Holds evaluates "l c r + off" (|l-r| < off for AbsDiffLT). A unary
+// predicate is the case r == 0.
+func (c CmpOp) Holds(l, r, off float64) bool {
+	switch c {
 	case LT:
-		return lv < rv+p.C
+		return l < r+off
 	case LE:
-		return lv <= rv+p.C
+		return l <= r+off
 	case GT:
-		return lv > rv+p.C
+		return l > r+off
 	case GE:
-		return lv >= rv+p.C
+		return l >= r+off
 	case EQ:
-		return lv == rv+p.C
+		return l == r+off
 	case NE:
-		return lv != rv+p.C
+		return l != r+off
 	case AbsDiffLT:
-		return math.Abs(lv-rv) < p.C
+		return math.Abs(l-r) < off
 	default:
 		return false
 	}
@@ -193,9 +198,10 @@ type Pattern struct {
 	pairPreds map[[2]int][]int
 
 	// Compiled hot-path tables (see compile.go).
-	byType [][]int     // event type -> positions accepting it
-	unaryC [][]CUnary  // per position, fused unary predicate list
-	pairC  []PairCheck // flat (new, old) ordered-pair checks
+	byType  [][]int     // event type -> positions accepting it
+	unaryC  [][]CUnary  // per position, fused unary predicate list
+	pairC   []PairCheck // flat (new, old) ordered-pair checks
+	eqAttrs [][]EqAttr  // per position, exact-equality attributes and classes
 }
 
 // NumPositions returns the number of declared positions.

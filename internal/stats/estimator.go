@@ -112,27 +112,7 @@ func (e *Estimator) Observe(ev *event.Event) {
 // sample rings and folds the result into the EWMA estimates.
 func (e *Estimator) refreshSelectivities() {
 	for k := range e.pat.Preds {
-		pr := &e.pat.Preds[k]
-		var pass, total int
-		if pr.IsUnary() {
-			ring := e.rings[pr.L]
-			for i := 0; i < ring.len(); i++ {
-				total++
-				if pr.Eval(ring.at(i), nil) {
-					pass++
-				}
-			}
-		} else {
-			lring, rring := e.rings[pr.L], e.rings[pr.R]
-			for i := 0; i < lring.len(); i++ {
-				for j := 0; j < rring.len(); j++ {
-					total++
-					if pr.Eval(lring.at(i), rring.at(j)) {
-						pass++
-					}
-				}
-			}
-		}
+		pass, total := e.passCount(&e.pat.Preds[k])
 		if total == 0 {
 			continue // keep previous estimate
 		}
@@ -147,6 +127,31 @@ func (e *Estimator) refreshSelectivities() {
 			e.selPred[k] = e.cfg.Alpha*obs + (1-e.cfg.Alpha)*e.selPred[k]
 		}
 	}
+}
+
+// passCount evaluates pr over the sample rings: every held event of its
+// position, or every held pair of its two positions. The counts do not
+// depend on order, so the rings are walked in storage order.
+func (e *Estimator) passCount(pr *pattern.Pred) (pass, total int) {
+	l := e.rings[pr.L].held()
+	if pr.IsUnary() {
+		for i := range l {
+			if pr.Op.Holds(l[i].Attrs[pr.AttrL], 0, pr.C) {
+				pass++
+			}
+		}
+		return pass, len(l)
+	}
+	r := e.rings[pr.R].held()
+	for i := range l {
+		lv := l[i].Attrs[pr.AttrL]
+		for j := range r {
+			if pr.Op.Holds(lv, r[j].Attrs[pr.AttrR], pr.C) {
+				pass++
+			}
+		}
+	}
+	return pass, len(l) * len(r)
 }
 
 // Snapshot refreshes the selectivity estimates and returns an immutable

@@ -255,3 +255,90 @@ func TestSnapshotString(t *testing.T) {
 		t.Error("empty String()")
 	}
 }
+
+// TestPassCountMatchesOldestFirstLoop: walking the sample rings in
+// storage order must count exactly what the oldest-first Pred.Eval loop
+// over every held pair counts, so the smoothed selectivities stay
+// bit-identical. The stream wraps the rings many times and draws values
+// that include -0, +0 and NaN.
+func TestPassCountMatchesOldestFirstLoop(t *testing.T) {
+	s := event.NewSchema()
+	for _, name := range []string{"A", "B", "C"} {
+		s.MustAddType(name, "x", "y")
+	}
+	b := pattern.NewBuilder(s, pattern.Seq, 10*event.Second)
+	a, bb, c := b.EventName("A"), b.EventName("B"), b.EventName("C")
+	b.WhereEq(a, "x", bb, "x")
+	b.Where(a, "y", pattern.LT, bb, "y", 0.5)
+	b.Where(bb, "x", pattern.GE, c, "y", -1)
+	b.Where(a, "x", pattern.NE, c, "x", 0)
+	b.Where(bb, "y", pattern.AbsDiffLT, c, "y", 1.5)
+	b.Where(a, "y", pattern.EQ, c, "x", 1)
+	b.WhereConst(c, "x", pattern.GT, 0.5)
+	b.WhereConst(a, "y", pattern.AbsDiffLT, 1)
+	pat := b.MustBuild()
+	const alpha, minSel = 0.3, 1e-3
+	e, err := NewEstimator(pat, Config{SampleSize: 7, Alpha: alpha, MinSel: minSel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// oldestFirst is the held events in arrival order.
+	oldestFirst := func(r *sampleRing) []*event.Event {
+		var out []*event.Event
+		n, first := r.next, 0
+		if r.full {
+			n, first = len(r.buf), r.next
+		}
+		for i := 0; i < n; i++ {
+			out = append(out, &r.buf[(first+i)%len(r.buf)])
+		}
+		return out
+	}
+	want := make([]float64, len(pat.Preds))
+	seeded := make([]bool, len(pat.Preds))
+	vals := []float64{-2, -1, math.Copysign(0, -1), 0, 0.5, 1, 2, math.NaN()}
+	r := rand.New(rand.NewSource(3))
+	for i := 0; i < 600; i++ {
+		ev := s.MustNew(r.Intn(3), event.Time(i), vals[r.Intn(len(vals))], vals[r.Intn(len(vals))])
+		e.Observe(&ev)
+		if i%13 != 0 {
+			continue
+		}
+		for k := range pat.Preds {
+			pr := pat.Preds[k]
+			var pass, total int
+			for _, l := range oldestFirst(e.rings[pr.L]) {
+				if pr.IsUnary() {
+					total++
+					if pr.Eval(l, nil) {
+						pass++
+					}
+					continue
+				}
+				for _, rv := range oldestFirst(e.rings[pr.R]) {
+					total++
+					if pr.Eval(l, rv) {
+						pass++
+					}
+				}
+			}
+			if gp, gt := e.passCount(&pat.Preds[k]); gp != pass || gt != total {
+				t.Fatalf("event %d pred %v: passCount %d/%d, oldest-first loop %d/%d", i, pr, gp, gt, pass, total)
+			}
+			if total == 0 {
+				continue
+			}
+			obs := math.Max(float64(pass)/float64(total), minSel)
+			if seeded[k] {
+				obs = alpha*obs + (1-alpha)*want[k]
+			}
+			want[k], seeded[k] = obs, true
+		}
+		e.Snapshot(event.Time(i))
+		for k := range pat.Preds {
+			if got := e.PredSelectivity(k); seeded[k] && got != want[k] {
+				t.Fatalf("event %d pred %v: selectivity %v, want %v", i, pat.Preds[k], got, want[k])
+			}
+		}
+	}
+}

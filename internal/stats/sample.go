@@ -30,18 +30,11 @@ func (r *sampleRing) add(ev *event.Event) {
 	}
 }
 
-// len reports how many events are currently held.
-func (r *sampleRing) len() int {
+// held returns the events currently held, in storage order: oldest
+// first until the ring wraps, rotated after.
+func (r *sampleRing) held() []event.Event {
 	if r.full {
-		return len(r.buf)
+		return r.buf
 	}
-	return r.next
-}
-
-// at returns the i-th held event (0 <= i < len), oldest first.
-func (r *sampleRing) at(i int) *event.Event {
-	if !r.full {
-		return &r.buf[i]
-	}
-	return &r.buf[(r.next+i)%len(r.buf)]
+	return r.buf[:r.next]
 }
